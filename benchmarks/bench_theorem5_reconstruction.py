@@ -37,7 +37,8 @@ def test_full_round_planar_n200(benchmark):
 
 
 def test_decode_scaling_n512(benchmark):
-    """The O(n²)-ish decode at the largest bench size."""
+    """The referee decode at the largest bench size: n decodes of n-independent
+    cost (direct root recovery), plus O(k·m) power-sum updates."""
     g = random_k_degenerate(512, 2, seed=14)
     protocol = DegeneracyReconstructionProtocol(2)
     msgs = protocol.message_vector(g)

@@ -27,7 +27,14 @@ import json
 from typing import Any
 
 from repro.bench.harness import BenchCase
+from repro.bits.reader import BitReader
 from repro.bits.writer import BitWriter
+from repro.protocols.powersum import (
+    compute_power_sums,
+    integer_roots_by_scan,
+    integer_roots_of_monic,
+    newton_identities,
+)
 from repro.registry import register
 from repro.sketching.connectivity import sketch_spanning_forest
 from repro.sketching.field import (
@@ -207,6 +214,86 @@ def _bench_bits_pack_naive(scale: float = 1.0) -> BenchCase:
                 "digest": _digest(writer.to_bytes().hex())}
 
     return BenchCase(op=op, meta={"fields": len(fields), "stream_bits": total})
+
+
+def _unpack_stream(scale: float) -> tuple[tuple[int, int], list[int]]:
+    """The ``bits-pack`` field stream, packed off the clock: (stream, widths)."""
+    fields = _pack_fields(scale)
+    writer = BitWriter()
+    writer.write_many(fields)
+    return writer.to_int(), [w for _, w in fields]
+
+
+@register("bits-unpack", kind="benchmark", capabilities=("micro", "bits"),
+          summary="Message unpacking via single-pass BitReader.read_many.")
+def _bench_bits_unpack(scale: float = 1.0) -> BenchCase:
+    (acc, nbits), widths = _unpack_stream(scale)
+
+    def op():
+        values = BitReader(acc, nbits).read_many(widths)
+        return {"ops": len(widths), "bits": nbits, "digest": _digest(values)}
+
+    return BenchCase(op=op, meta={"fields": len(widths), "stream_bits": nbits})
+
+
+@register("bits-unpack-naive", kind="benchmark",
+          capabilities=("micro", "bits", "reference"),
+          summary="Message unpacking via one BitReader.read_bits call per field.")
+def _bench_bits_unpack_naive(scale: float = 1.0) -> BenchCase:
+    (acc, nbits), widths = _unpack_stream(scale)
+
+    def op():
+        reader = BitReader(acc, nbits)
+        values = [reader.read_bits(w) for w in widths]
+        return {"ops": len(widths), "bits": nbits, "digest": _digest(values)}
+
+    return BenchCase(op=op, meta={"fields": len(widths), "stream_bits": nbits})
+
+
+# --------------------------------------------------------------------- #
+# power-sum root recovery (Algorithm 4's per-prune decode)
+# --------------------------------------------------------------------- #
+
+
+def _powersum_inputs(scale: float) -> tuple[int, list[list[int]]]:
+    """Elementary sums of splitmix-drawn 1..3-subsets of ``1..512``."""
+    n = 512
+    count = _scaled(300, scale, lo=12)
+    inputs = []
+    x = _SEED ^ 0x9
+    for i in range(count):
+        subset: set[int] = set()
+        while len(subset) < 1 + i % 3:
+            x = splitmix64(x)
+            subset.add(1 + x % n)
+        inputs.append(newton_identities(compute_power_sums(subset, len(subset))))
+    return n, inputs
+
+
+@register("powersum-decode", kind="benchmark", capabilities=("micro", "protocols"),
+          summary="Neighbourhood root recovery via integer_roots_of_monic "
+                  "(closed forms + Newton).")
+def _bench_powersum_decode(scale: float = 1.0) -> BenchCase:
+    n, inputs = _powersum_inputs(scale)
+
+    def op():
+        roots = [integer_roots_of_monic(e, n) for e in inputs]
+        return {"ops": len(inputs), "digest": _digest(roots)}
+
+    return BenchCase(op=op, meta={"n": n, "decodes": len(inputs)})
+
+
+@register("powersum-decode-scan", kind="benchmark",
+          capabilities=("micro", "protocols", "reference"),
+          summary="Neighbourhood root recovery via the O(n*d) candidate scan.")
+def _bench_powersum_decode_scan(scale: float = 1.0) -> BenchCase:
+    n, inputs = _powersum_inputs(scale)
+
+    def op():
+        roots = [integer_roots_by_scan(e, n) for e in inputs]
+        return {"ops": len(inputs), "digest": _digest(roots)}
+
+    return BenchCase(op=op, meta={"n": n, "decodes": len(inputs)})
 
 
 # --------------------------------------------------------------------- #

@@ -28,9 +28,11 @@ structures, pinning the deterministic fields exactly, wall time only up to
 an explicit relative tolerance, and optimized-vs-naive speedup ratios
 against declared floors.
 
-Pairing convention: a benchmark named ``<name>-naive`` is the reference
+Pairing convention: a benchmark named ``<name>-naive`` (or ``<name>-scan``
+for a search that the optimized case replaces) is the reference
 implementation of ``<name>``; :func:`run_suite` reports the ratio
-``naive_min / optimized_min`` under ``speedups[<name>]`` whenever both ran.
+``reference_min / optimized_min`` under ``speedups[<name>]`` whenever both
+ran.
 
 RNG hygiene: the harness draws no randomness at all, and builtin benchmark
 inputs derive from :func:`~repro.sketching.field.splitmix64` chains — the
@@ -80,6 +82,9 @@ DEFAULT_OUTPUT = pathlib.Path("BENCH_PR4.json")
 
 #: Deterministic per-benchmark fields a bench baseline pins exactly.
 _PINNED_FIELDS = ("ops", "bits", "digest")
+
+#: Name suffixes that mark a benchmark as the reference twin of another.
+_REFERENCE_SUFFIXES = ("-naive", "-scan")
 
 
 @dataclass
@@ -158,10 +163,11 @@ def run_case(case: BenchCase, *, repeats: int = 3) -> dict[str, Any]:
 
 
 def _speedups(results: Mapping[str, Mapping]) -> dict[str, float]:
-    """``{name: naive_min / optimized_min}`` for every ``-naive`` pair run."""
+    """``{name: reference_min / optimized_min}`` for every reference pair run."""
     out: dict[str, float] = {}
     for name in results:
-        reference = results.get(f"{name}-naive")
+        reference = next((results[name + suffix] for suffix in _REFERENCE_SUFFIXES
+                          if name + suffix in results), None)
         if reference is None:
             continue
         fast = results[name]["wall_seconds"]["min"]
@@ -364,10 +370,10 @@ def check_suite(
         if measured is None:
             verdict.failures.append(CheckFailure(
                 "speedup", bench,
-                "no measured speedup (benchmark or its -naive pair missing)"))
+                "no measured speedup (benchmark or its reference twin missing)"))
         elif measured < floor:
             verdict.failures.append(CheckFailure(
                 "speedup", bench,
-                f"optimized/naive ratio {measured} below the declared "
+                f"optimized/reference ratio {measured} below the declared "
                 f"floor {floor}"))
     return verdict

@@ -767,7 +767,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             ["benchmark", "ops", "bits", "mean s", "ops/s"], rows,
         ))
         for name, ratio in sorted(report["speedups"].items()):
-            print(f"  speedup {name}: {ratio}x vs {name}-naive")
+            print(f"  speedup {name}: {ratio}x vs its reference twin")
         if written is not None:
             print(f"  report -> {written}")
         if args.freeze:

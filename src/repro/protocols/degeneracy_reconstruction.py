@@ -15,9 +15,14 @@ elimination order is *discovered* by the referee, never transmitted.
 The recognition variant is the paper's closing remark of Section III: reject
 iff the pruning process ever finds no vertex of degree ≤ k.
 
-Complexity: with a min-degree worklist the loop body is ``O(decode + k·deg)``;
-with the Newton decoder each decode is ``O(n·k)``, giving ``O(n²k)`` total,
-the paper's ``O(n²)`` for fixed k.  A prebuilt
+Complexity: with a worklist of prunable vertices the loop body is
+``O(decode + k·deg)`` — the check that the decoded set lies in the
+remaining graph is ``O(deg)`` set work, never a copy of the remaining set.
+The Newton decoder recovers ``d <= k`` roots directly in ``O(k³ log n)``
+word operations at worst (closed forms for ``d <= 2``), so the referee is
+``O(n·k³ log n)`` plus ``O(k·m)`` for the updates — below the paper's
+``O(n²)`` for fixed k.  Only corrupt input pays the ``O(n·k)`` reference
+scan, once, on the way to its error.  A prebuilt
 :class:`~repro.protocols.powersum.PowerSumLookupTable` makes decodes
 ``O(k)`` dictionary work instead.
 """
@@ -82,7 +87,7 @@ def prune_decode(
             nbrs = table.lookup_partial(degree, tuple(sums))
         else:
             nbrs = decode_neighborhood_newton(degree, tuple(sums), n)
-        if not nbrs <= remaining - {x}:
+        if x in nbrs or not nbrs <= remaining:
             raise DecodeError(
                 f"vertex {x} decoded neighbours {sorted(nbrs)} outside the remaining graph"
             )

@@ -102,20 +102,19 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
     def global_(self, n: int, messages: list[Message]) -> LabeledGraph:
         w = id_width(n)
         k = self.k
+        sum_widths = [(p + 1) * w for p in range(1, k + 1)]
+        widths = [w, w] + sum_widths + sum_widths
         state: dict[int, tuple[int, list[int], list[int]]] = {}
         for msg in messages:
             r: BitReader = msg.reader()
             try:
-                v = r.read_bits(w)
-                d = r.read_bits(w)
-                b = [r.read_bits((p + 1) * w) for p in range(1, k + 1)]
-                bc = [r.read_bits((p + 1) * w) for p in range(1, k + 1)]
+                v, d, *sums = r.read_many(widths)
                 r.expect_exhausted()
             except Exception as exc:
                 raise DecodeError(f"malformed generalized-degeneracy message: {exc}") from exc
             if not 1 <= v <= n or v in state:
                 raise DecodeError(f"bad or duplicate vertex ID {v}")
-            state[v] = (d, b, bc)
+            state[v] = (d, sums[:k], sums[k:])
         if len(state) != n:
             raise DecodeError(f"expected {n} records, got {len(state)}")
 
@@ -145,7 +144,7 @@ class GeneralizedDegeneracyProtocol(ReconstructionProtocol):
                 nbrs = remaining - co_nbrs - {x}
             else:
                 nbrs = decode_neighborhood_newton(d, tuple(b), n)
-            if not nbrs <= remaining - {x}:
+            if x in nbrs or not nbrs <= remaining:
                 raise DecodeError(f"vertex {x} decoded neighbours outside the remaining graph")
             remaining.discard(x)
             for v in remaining:

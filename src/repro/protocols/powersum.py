@@ -15,8 +15,13 @@ with ``w = ceil(log2(n+1))``, so the message costs ``O(k² log n)`` bits
 
 * :func:`decode_neighborhood_newton` — Newton's identities convert power
   sums to elementary symmetric polynomials (exact integer arithmetic), and
-  the neighbours are the integer roots of the resulting monic polynomial,
-  found by scanning ``1..n`` with Horner + synthetic division, ``O(n·d)``;
+  the neighbours are the integer roots of the resulting monic polynomial.
+  :func:`integer_roots_of_monic` finds them directly — closed forms for
+  ``d <= 2``, integer Newton descent plus deflation above — in
+  ``O(d³ log n)`` word operations at worst, independent of ``n`` up to
+  the log.  Only a miss (input that is not ``d`` distinct roots in
+  ``1..n``) pays the ``O(n·d)`` reference scan
+  :func:`integer_roots_by_scan`, which then raises its usual error;
 * :class:`PowerSumLookupTable` — Lemma 3's preprocessing: enumerate all
   ``<= k``-subsets of ``1..n`` and index them by their power-sum vector;
   one dictionary probe per decode (``O(n^k)`` space, so guarded).
@@ -45,6 +50,7 @@ __all__ = [
     "powersum_message_bits",
     "newton_identities",
     "integer_roots_of_monic",
+    "integer_roots_by_scan",
     "decode_neighborhood_newton",
     "PowerSumLookupTable",
 ]
@@ -104,9 +110,7 @@ def decode_powersum_message(n: int, k: int, msg: Message) -> PowerSumRecord:
     w = id_width(n)
     r: BitReader = msg.reader()
     try:
-        vertex = r.read_bits(w)
-        degree = r.read_bits(w)
-        sums = tuple(r.read_bits((p + 1) * w) for p in range(1, k + 1))
+        vertex, degree, *sums = r.read_many([w, w] + [(p + 1) * w for p in range(1, k + 1)])
         r.expect_exhausted()
     except Exception as exc:  # underflow / leftover bits
         raise DecodeError(f"malformed power-sum message: {exc}") from exc
@@ -114,7 +118,7 @@ def decode_powersum_message(n: int, k: int, msg: Message) -> PowerSumRecord:
         raise DecodeError(f"decoded vertex ID {vertex} outside 1..{n}")
     if degree > n - 1:
         raise DecodeError(f"decoded degree {degree} exceeds n-1 = {n - 1}")
-    return PowerSumRecord(vertex=vertex, degree=degree, power_sums=sums)
+    return PowerSumRecord(vertex=vertex, degree=degree, power_sums=tuple(sums))
 
 
 def newton_identities(power_sums: tuple[int, ...] | list[int]) -> list[int]:
@@ -140,11 +144,93 @@ def newton_identities(power_sums: tuple[int, ...] | list[int]) -> list[int]:
 
 
 def integer_roots_of_monic(elementary: list[int], n: int) -> list[int]:
-    """All roots in ``1..n`` of ``x^d - e_1 x^{d-1} + e_2 x^{d-2} - ...``.
+    """All roots in ``1..n`` of ``x^d - e_1 x^{d-1} + e_2 x^{d-2} - ...``, ascending.
 
-    The polynomial whose roots are the neighbours.  Scan candidates with
-    Horner, synthetic-divide on each hit; Corollary 1 guarantees the
-    genuine decode finds exactly ``d`` distinct roots.
+    The polynomial whose roots are the neighbours.  The roots are found
+    directly (:func:`_distinct_integer_roots`: ``e_1`` for ``d = 1``, the
+    quadratic formula for ``d = 2``, integer Newton descent plus deflation
+    above), ``O(d³ log n)`` word operations at worst instead of the scan's
+    ``O(n·d)``.  That answer is kept only when it is ``d`` distinct,
+    exactly verified roots in ``1..n`` — then it is provably the list
+    :func:`integer_roots_by_scan` returns.  Anything else (repeated,
+    non-integer, out-of-range or complex roots) goes to the scan, so
+    corrupt input raises the scan's :class:`~repro.errors.DecodeError`,
+    text included.
+    """
+    coeffs = [1] + [(-1) ** (idx + 1) * e for idx, e in enumerate(elementary)]
+    roots = _distinct_integer_roots(coeffs, n)
+    if roots is not None:
+        return roots
+    return integer_roots_by_scan(elementary, n)
+
+
+def _distinct_integer_roots(coeffs: list[int], n: int) -> list[int] | None:
+    """``d`` distinct integer roots in ``1..n`` of a monic polynomial, or None.
+
+    ``coeffs`` is highest degree first.  Above degree 2, integer Newton
+    from above the largest root: ``x -> x - floor(P(x)/P'(x))``.  For a
+    real-rooted ``P`` and ``x`` above its largest root ``r``, ``P`` is
+    increasing and convex there, so every step lands on an integer still
+    ``>= r`` (a zero step means ``r <= x - 1``, so step by one) and ``x``
+    falls strictly until ``P(x) = 0``.  The start ``min(n, isqrt(p_2))``
+    is at least ``r`` when the roots are real and at most ``n``; the
+    distance to ``r`` shrinks by a factor ``1 - 1/d`` per step until it is
+    at most ``d``, so ``d·(log₂ n + 1) + 1`` evaluations always suffice.
+    Each root found is exact (``P(x) = 0`` in integers) and divided out,
+    finishing with the closed forms for degree 2 and 1.  None means the
+    polynomial is not a product of ``d`` distinct linear factors with roots
+    in ``1..n``.
+    """
+    d = len(coeffs) - 1
+    roots: list[int] = []
+    while len(coeffs) > 3:
+        p2 = coeffs[1] * coeffs[1] - 2 * coeffs[2]
+        if p2 < 0:
+            return None
+        x = min(n, math.isqrt(p2))
+        for _ in range(d * (n.bit_length() + 1) + 1):
+            p = dp = 0
+            for c in coeffs:
+                dp = dp * x + p
+                p = p * x + c
+            if p == 0:
+                break
+            if p < 0 or dp <= 0:
+                return None
+            x -= p // dp or 1
+            if x < 1:
+                return None
+        else:
+            return None
+        roots.append(x)
+        deflated = [1]
+        for c in coeffs[1:-1]:
+            deflated.append(c + deflated[-1] * x)
+        coeffs = deflated
+    if len(coeffs) == 3:
+        e1, e2 = -coeffs[1], coeffs[2]
+        disc = e1 * e1 - 4 * e2
+        if disc <= 0:
+            return None
+        s = math.isqrt(disc)
+        if s * s != disc or (e1 + s) & 1:
+            return None
+        roots += [(e1 - s) >> 1, (e1 + s) >> 1]
+    elif len(coeffs) == 2:
+        roots.append(-coeffs[1])
+    roots.sort()
+    if roots and (roots[0] < 1 or roots[-1] > n or len(set(roots)) != d):
+        return None
+    return roots
+
+
+def integer_roots_by_scan(elementary: list[int], n: int) -> list[int]:
+    """The reference root finder: Horner at every candidate ``1..n``.
+
+    Synthetic-divides on each hit, ``O(n·d)``.  Corollary 1 guarantees the
+    genuine decode finds exactly ``d`` distinct roots; otherwise this
+    raises :class:`~repro.errors.DecodeError`.  :func:`integer_roots_of_monic`
+    falls back to it whenever its direct root recovery misses.
     """
     d = len(elementary)
     # coefficients of Π (x - r_i), highest degree first
@@ -198,9 +284,12 @@ class PowerSumLookupTable:
     """Lemma 3's table: power-sum vector -> neighbourhood, for all ``<= k``-subsets.
 
     Size ``Σ_{d<=k} C(n,d) = O(n^k)`` entries; construction is guarded by
-    ``max_entries``.  The paper sorts the table and binary-searches in
-    ``O(k log n)``; a Python dict probe is the moral equivalent (and is
-    what gives Algorithm 4 its ``O(n²)`` total decode).
+    ``max_entries`` and costs ``O(n^k · k²)`` once per ``(n, k)``.  The
+    paper sorts the table and binary-searches in ``O(k log n)``; a Python
+    dict probe is the moral equivalent, ``O(k)`` per decode.  The table
+    only trades the Newton decode's ``O(d³ log n)`` worst case for a hash
+    probe: either way each of Algorithm 4's ``n`` decodes costs nothing
+    that grows with ``n`` beyond a log.
     """
 
     def __init__(self, n: int, k: int, *, max_entries: int = 5_000_000) -> None:
@@ -233,12 +322,14 @@ class PowerSumLookupTable:
             ) from None
 
     def lookup_partial(self, degree: int, power_sums: tuple[int, ...]) -> frozenset[int]:
-        """Decode from the first ``degree`` power sums via the Newton route.
+        """Decode a vertex of current degree ``degree`` from its current sums.
 
-        Algorithm 4 updates records incrementally, so mid-decode a vertex's
-        *current* power sums match a subset of size ``degree < k`` whose
-        full-k key is exactly what :meth:`lookup` expects — this helper
-        recomputes the full key when possible, falling back to Newton.
+        Algorithm 4 keeps all ``k`` current power sums up to date, so a
+        vertex's current vector is already the full table key of its
+        current neighbourhood (a subset of size ``degree <= k``): one probe
+        answers it.  A vector that is not ``k`` long, misses, or names a set
+        of the wrong size goes to :func:`decode_neighborhood_newton`, which
+        decodes or raises its :class:`~repro.errors.DecodeError`.
         """
         if len(power_sums) == self.k:
             hit = self._table.get(tuple(power_sums))

@@ -191,26 +191,21 @@ class AGMConnectivityProtocol(DecisionProtocol):
             return SketchReport(True, n, 0, (), 0, 0)
         rounds = self.rounds_for(n)
         w0, w1 = self._widths(n)
-        per_node: list[list[L0Sampler]] = []
+        round_params = [self.params_for(n, r) for r in range(rounds)]
+        round_widths = [[w0, w1, 61] * params.levels for params in round_params]
+        # Every message is read (and framing-checked) up front; a node's
+        # round-r sampler is built from its raw fields only if Borůvka
+        # reaches round r, which it rarely does for all `rounds`.
+        per_node: list[list[list[int]]] = []
         bits = 0
         for msg in messages:
             bits = max(bits, msg.bits)
             reader = msg.reader()
-            samplers = []
             try:
-                for r in range(rounds):
-                    params = self.params_for(n, r)
-                    counters = []
-                    for _ in range(params.levels):
-                        c0 = _unzigzag(reader.read_bits(w0))
-                        c1 = _unzigzag(reader.read_bits(w1))
-                        c2 = reader.read_bits(61)
-                        counters.append((c0, c1, c2))
-                    samplers.append(L0Sampler.from_counters(params, counters))
+                per_node.append([reader.read_many(widths) for widths in round_widths])
                 reader.expect_exhausted()
             except Exception as exc:
                 raise DecodeError(f"malformed sketch message: {exc}") from exc
-            per_node.append(samplers)
 
         uf = _UnionFind(n)
         components = n
@@ -225,10 +220,12 @@ class AGMConnectivityProtocol(DecisionProtocol):
             agg: dict[int, L0Sampler] = {}
             for v in range(1, n + 1):
                 root = uf.find(v)
-                if root in agg:
-                    agg[root] = agg[root].merged(per_node[v - 1][r])
-                else:
-                    agg[root] = per_node[v - 1][r]
+                fields = per_node[v - 1][r]
+                sampler = L0Sampler.from_counters(round_params[r], [
+                    (_unzigzag(c0), _unzigzag(c1), c2)
+                    for c0, c1, c2 in zip(fields[0::3], fields[1::3], fields[2::3])
+                ])
+                agg[root] = agg[root].merged(sampler) if root in agg else sampler
             merged_any = False
             round_failures = 0
             for root, sampler in agg.items():

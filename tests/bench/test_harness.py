@@ -48,8 +48,9 @@ class TestRegistryIntegration:
     def test_every_naive_twin_has_its_optimized_partner(self):
         names = set(registry.BENCHMARK.names())
         for name in names:
-            if name.endswith("-naive"):
-                assert name[: -len("-naive")] in names
+            for suffix in ("-naive", "-scan"):
+                if name.endswith(suffix):
+                    assert name[: -len(suffix)] in names
 
     def test_factories_build_bench_cases(self):
         case = registry.BENCHMARK.build("bits-pack", scale=0.1)

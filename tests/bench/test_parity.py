@@ -99,6 +99,18 @@ class TestBenchmarkPairParity:
             assert results[name]["ops"] == results[f"{name}-naive"]["ops"]
             assert results[name]["bits"] == results[f"{name}-naive"]["bits"]
 
+    def test_decode_twins_digest_identically(self):
+        """read_many vs per-field read_bits, direct roots vs the scan; the
+        ``-scan`` suffix pairs like ``-naive`` for the reported speedup."""
+        pairs = [("bits-unpack", "bits-unpack-naive"),
+                 ("powersum-decode", "powersum-decode-scan")]
+        report = run_suite([n for pair in pairs for n in pair], scale=0.1, repeats=1)
+        results = report["results"]
+        for name, twin in pairs:
+            for field in ("digest", "ops", "bits"):
+                assert results[name][field] == results[twin][field], (name, field)
+        assert set(report["speedups"]) == {"bits-unpack", "powersum-decode"}
+
     def test_numpy_kernel_twins_digest_identically(self):
         """The kernel-backend pairs share inputs with the pure microbenches,
         so all four digests per family must agree — numpy vs pure twin AND

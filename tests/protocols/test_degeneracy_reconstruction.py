@@ -162,6 +162,12 @@ class TestFailureInjection:
         with pytest.raises(DecodeError):
             prune_decode(2, 1, records)
 
+    def test_self_neighbour_rejected(self):
+        # vertex 1's sums decode to {1}: a vertex is never its own neighbour
+        records = [(1, 1, [1]), (2, 0, [0])]
+        with pytest.raises(DecodeError, match="outside the remaining graph"):
+            prune_decode(2, 1, records)
+
     def test_negative_power_sum_detected(self):
         # vertex 2 claims edge to 1, but vertex 1's sums don't include 2
         records = [(1, 1, [2]), (2, 1, [1]), (3, 2, [1])]  # vertex 3 inconsistent

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GraphError, RecognitionFailure
+from repro.bits import BitWriter
+from repro.errors import DecodeError, GraphError, RecognitionFailure
 from repro.graphs import LabeledGraph, degeneracy
 from repro.graphs.generators import (
     complete_bipartite,
@@ -14,6 +15,7 @@ from repro.graphs.generators import (
     random_forest,
     random_tree,
 )
+from repro.model import Message
 from repro.protocols import GeneralizedDegeneracyProtocol
 from repro.protocols.generalized_degeneracy import generalized_degeneracy
 
@@ -71,6 +73,17 @@ class TestGeneralizedReconstruction:
     def test_k0_rejected(self):
         with pytest.raises(GraphError):
             GeneralizedDegeneracyProtocol(0)
+
+    def test_self_neighbour_rejected(self):
+        # n=2, k=1 (2-bit ids): vertex 1 claims degree 1 with b_1 = 1, i.e. N(1) = {1}
+        def message(v, d, b1, co1):
+            writer = BitWriter()
+            writer.write_many([(v, 2), (d, 2), (b1, 4), (co1, 4)])
+            return Message.from_writer(writer)
+
+        messages = [message(1, 1, 1, 0), message(2, 0, 0, 1)]
+        with pytest.raises(DecodeError, match="outside the remaining graph"):
+            GeneralizedDegeneracyProtocol(1).global_(2, messages)
 
     def test_message_is_twice_powersum(self):
         from repro.protocols.powersum import powersum_message_bits

@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 
 from repro.errors import DecodeError, GraphError
 from repro.model import Message
+from repro.protocols import powersum
 from repro.protocols.powersum import (
     PowerSumLookupTable,
     compute_power_sums,
     decode_neighborhood_newton,
     decode_powersum_message,
     encode_powersum_message,
+    integer_roots_by_scan,
     integer_roots_of_monic,
     newton_identities,
     powersum_message_bits,
@@ -94,6 +97,72 @@ class TestIntegerRoots:
 
     def test_degree_zero(self):
         assert integer_roots_of_monic([], 5) == []
+
+
+def _elementary(roots):
+    """``e_1..e_d`` of the multiset ``roots`` (any integers, repeats allowed)."""
+    coeffs = [1]  # Π (x - r), highest degree first
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return [(-1) ** i * c for i, c in enumerate(coeffs)][1:]
+
+
+def _outcome(finder, elementary, n):
+    try:
+        return finder(list(elementary), n)
+    except DecodeError as exc:
+        return f"DecodeError: {exc}"
+
+
+class TestFastRootsMatchScan:
+    """The direct root recovery is the scan, answer and error text alike."""
+
+    @settings(max_examples=150)
+    @given(st.data(), st.integers(1, 10_000), st.integers(1, 8))
+    def test_distinct_subsets_never_reach_the_scan(self, data, n, d):
+        subset = data.draw(st.sets(st.integers(1, n), min_size=min(d, n), max_size=min(d, n)))
+        e = _elementary(subset)
+        with mock.patch.object(powersum, "integer_roots_by_scan",
+                               side_effect=AssertionError("scan reached")):
+            fast = integer_roots_of_monic(e, n)
+        assert fast == sorted(subset) == integer_roots_by_scan(e, n)
+
+    @settings(max_examples=300)
+    @given(st.data(), st.integers(1, 600), st.integers(1, 6))
+    def test_perturbed_sums_match_scan(self, data, n, d):
+        subset = data.draw(st.sets(st.integers(1, n), min_size=min(d, n), max_size=min(d, n)))
+        e = _elementary(subset)
+        i = data.draw(st.integers(0, len(e) - 1))
+        e[i] += data.draw(st.integers(-3, 3).filter(bool))
+        assert _outcome(integer_roots_of_monic, e, n) == _outcome(integer_roots_by_scan, e, n)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 600), st.lists(st.integers(-20, 640), min_size=1, max_size=6))
+    def test_arbitrary_integer_roots_match_scan(self, n, roots):
+        """Double roots, a root of 0, negative roots and roots above n."""
+        e = _elementary(roots)
+        assert _outcome(integer_roots_of_monic, e, n) == _outcome(integer_roots_by_scan, e, n)
+
+    @pytest.mark.parametrize("roots, n", [
+        ([3, 3], 10), ([3, 3, 5], 10), ([2, 3, 3, 9], 10), ([7, 7, 7], 10),
+        ([0, 4], 10), ([0, 2, 5], 10), ([-1, 4], 10), ([-4, 1, 6], 10),
+        ([4, 11], 10), ([2, 5, 12], 10), ([9, 10, 11, 12], 10),
+    ])
+    def test_degenerate_root_sets_match_scan(self, roots, n):
+        e = _elementary(roots)
+        assert _outcome(integer_roots_of_monic, e, n) == _outcome(integer_roots_by_scan, e, n)
+
+    @pytest.mark.parametrize("e", [
+        [5, 5],        # discriminant 5: irrational roots
+        [4, 5],        # discriminant -4: complex roots
+        [3, 1],        # discriminant 5, odd e_1
+        [6, 8, 1],     # cubic with no integer roots
+        [0, 1, 0, 0],  # x^4 + x^2: complex and double-zero roots
+    ])
+    def test_non_integer_roots_match_scan(self, e):
+        outcome = _outcome(integer_roots_of_monic, e, 10)
+        assert outcome == _outcome(integer_roots_by_scan, e, 10)
+        assert outcome.startswith("DecodeError: ")
 
 
 class TestNewtonDecode:
