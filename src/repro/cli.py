@@ -121,10 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     progress_group.add_argument("--no-progress", action="store_false",
                                 dest="progress",
                                 help="disable live progress")
-    p_camp.add_argument("--kernels", choices=("pure", "numpy"), default=None,
-                        help="sketch kernel backend (default: pure; numpy "
-                        "needs the optional dependency installed — records "
-                        "are bit-identical either way)")
     p_camp.add_argument("--json", action="store_true", help="emit the summary as JSON")
 
     p_merge = sub.add_parser(
@@ -388,7 +384,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.errors import KernelError, ObsError, ReproError, ShardError
+    from repro.errors import ObsError, ReproError, ShardError
     from repro.engine import load_campaign, make_executor
 
     try:
@@ -424,12 +420,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 trace=args.trace,
                 progress=progress,
-                kernels=args.kernels,
             )
-    except (ShardError, ObsError, KernelError) as exc:
+    except (ShardError, ObsError) as exc:
         # bad shard geometry, missing/stale manifest, edited grid, a trace
-        # without a results_dir, a kernel backend whose dependency is
-        # missing — all usage-shaped refusals with the fix in the message
+        # without a results_dir — all usage-shaped refusals with the fix in
+        # the message
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -353,22 +353,14 @@ class RunRecord:
         )
 
 
-def execute_run(spec: RunSpec, kernels: str | None = None) -> RunRecord:
+def execute_run(spec: RunSpec) -> RunRecord:
     """Build the graph and protocol named by ``spec``, run one round, record.
 
     Module-level and argument-picklable, so process pools fan it out
-    directly (``kernels`` rides along via ``functools.partial``).  The
-    kernel backend scopes the *execution* only — it is excluded from the
-    spec content hash because the parity gate guarantees identical records
-    on every backend.  Library-level failures are part of the measurement —
+    directly.  Library-level failures are part of the measurement —
     a frugality violation or a decode failure under fault injection becomes
     a ``status`` of ``"violation"``/``"error"``, never a crashed campaign.
     """
-    if kernels is not None:
-        from repro.sketching.kernels import use_kernels
-
-        with use_kernels(kernels):
-            return execute_run(spec)
     t0 = monotonic_clock()
     record = RunRecord(spec=spec, status="ok")
     try:

@@ -28,7 +28,6 @@ __all__ = [
     "BaselineError",
     "StoreError",
     "BenchError",
-    "KernelError",
     "ShardError",
     "ShardIncomplete",
     "ObsError",
@@ -162,11 +161,6 @@ class StoreError(ResultsError):
 class BenchError(ReproError):
     """Raised by the benchmark harness (:mod:`repro.bench`) on bad suite
     arguments or a missing/malformed bench baseline."""
-
-
-class KernelError(ReproError):
-    """Raised on an unknown kernel backend, or one whose optional
-    dependency (numpy) is not installed in this interpreter."""
 
 
 class ShardError(ProtocolError):
