@@ -79,7 +79,7 @@ campaign quickstart.
 import importlib
 from typing import Any
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 #: Lazy export map (PEP 562): public name -> defining module.  `import
 #: repro` stays cheap — protocols, engine, sketching, and the analysis

@@ -2,9 +2,8 @@
 
 Each ``exp_*`` function returns ``(headers, rows)`` where rows are lists of
 display-ready values; :func:`~repro.analysis.tables.format_table` renders
-them in the aligned plain-text form the benchmarks write to
-``benchmarks/results/`` and the CLI prints.  EXPERIMENTS.md quotes these
-tables as the paper-vs-measured record.
+them in the aligned plain-text form ``repro experiment <ID>`` prints.
+EXPERIMENTS.md quotes these tables as the paper-vs-measured record.
 """
 
 from repro.analysis.tables import format_table
@@ -28,19 +27,6 @@ from repro.analysis.experiments import (
     exp_results_gate,
 )
 
-
-def __getattr__(name: str):
-    # Deprecated: EXPERIMENTS is now the experiment registry
-    # (kind="experiment" in repro.registry); first touch warns.
-    if name == "EXPERIMENTS":
-        from repro.analysis import experiments
-
-        return experiments.EXPERIMENTS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# EXPERIMENTS resolves via __getattr__ (deprecated) but stays out of
-# __all__ so star-imports neither warn nor consume the warn-once latch.
 __all__ = [
     "format_table",
     "exp_lemma1_counting",

@@ -28,9 +28,6 @@ Usage::
     python -m repro jobs                           # list the daemon's jobs
     python -m repro job j000001 --follow           # follow one to completion
 
-``python -m repro EXP-L2`` / ``python -m repro all`` remain as aliases for
-the ``experiment`` subcommand so existing scripts keep working.
-
 Exit codes: 0 success, 1 gate/domain failure (``diff`` found differences,
 ``baseline check`` failed, ``bench --gate`` regressed — including a trend
 regression from ``--trends``, ``merge`` found incomplete shards — retry
@@ -45,9 +42,8 @@ its workers (partial results stay durable — re-run with ``--resume``).
 Argparse errors are converted to return codes — :func:`main` never lets
 ``SystemExit`` escape.
 
-Experiment tables are also written by ``pytest benchmarks/`` into
-``benchmarks/results/``; campaigns stream JSONL records into ``results/``
-(see DESIGN.md §3 for the record schema, §4 for the results layer).
+Campaigns stream JSONL records into ``results/`` (see DESIGN.md §3 for
+the record schema, §4 for the results layer).
 """
 
 from __future__ import annotations
@@ -1094,12 +1090,6 @@ def _cmd_job(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Back-compat: `python -m repro EXP-T5` / `all` mean `experiment <id>`.
-    # Only experiment-shaped tokens get the shim — anything else unknown
-    # must fall through to argparse's invalid-choice usage error.
-    if argv and (argv[0] == "all" or argv[0].startswith("EXP")):
-        argv.insert(0, "experiment")
-
     parser = _build_parser()
     if not argv:
         parser.print_usage(sys.stderr)

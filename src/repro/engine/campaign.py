@@ -30,7 +30,8 @@ Campaign specs are plain JSON (see :func:`load_campaign`)::
 
 Builtin campaigns (kind ``campaign`` in :mod:`repro.registry`) cover the smoke test, the
 reconstruction and connectivity sweeps, the fault-robustness study, and the
-fixed benchmark load used by ``benchmarks/bench_engine.py``.
+fixed benchmark load whose process-pool speedup ``tests/engine/test_campaign.py``
+checks.
 """
 
 from __future__ import annotations
@@ -73,16 +74,6 @@ __all__ = [
     "builtin_campaign",
     "load_campaign",
 ]
-
-
-def __getattr__(name: str):
-    # PEP 562 deprecation shim: the old builtin-campaign dict is now a
-    # read-only registry view that warns DeprecationWarning once.
-    if name == "BUILTIN_CAMPAIGNS":
-        view = registry.BUILTIN_CAMPAIGNS_VIEW
-        view._warn()
-        return view
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -752,7 +743,7 @@ def _builtin_faults() -> list[Scenario]:
 
 @registry.register("bench", kind="campaign")
 def _builtin_bench() -> list[Scenario]:
-    """The fixed load bench_engine.py times: 32 reconstructions at n=512."""
+    """The fixed load the process-pool speedup test times: 32 reconstructions at n=512."""
     return [
         Scenario(name="bench-deg", family="random_k_degenerate", sizes=(512,),
                  protocol="degeneracy", seeds=tuple(range(32)),

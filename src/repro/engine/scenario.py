@@ -13,10 +13,7 @@ Names are validated at construction time against the registries
 (:data:`repro.registry.GRAPH_FAMILY` / :data:`repro.registry.PROTOCOL`);
 a typo raises :class:`~repro.errors.UnknownRegistryEntry` naming the
 nearest known entry (``unknown protocol 'degenracy'; did you mean
-'degeneracy'?``).  The pre-registry dict literals survive as deprecated
-read-only views — accessing ``GRAPH_FAMILIES`` / ``PROTOCOL_BUILDERS``
-on this module warns ``DeprecationWarning`` once and resolves through the
-registry.
+'degeneracy'?``).
 
 Determinism contract (the SciLLM/APEX seed discipline from SNIPPETS.md):
 every random choice in a run is a pure function of the spec — the graph
@@ -42,9 +39,6 @@ from repro.model.protocol import OneRoundProtocol
 from repro.model.referee import Referee, RunReport, monotonic_clock
 from repro.engine.faults import FaultCounters, FaultSpec
 
-# GRAPH_FAMILIES / PROTOCOL_BUILDERS resolve via __getattr__ (deprecated)
-# but are kept out of __all__ so star-imports neither warn nor consume the
-# views' warn-once latches.
 __all__ = [
     "Scenario",
     "RunSpec",
@@ -60,21 +54,6 @@ __all__ = [
 SPEC_VERSION = 2
 
 Params = tuple[tuple[str, Any], ...]
-
-
-def __getattr__(name: str):
-    # PEP 562 deprecation shims: the old registry dicts live on as
-    # read-only views that warn once on first touch (even when that touch
-    # is `from repro.engine.scenario import PROTOCOL_BUILDERS`).
-    if name == "GRAPH_FAMILIES":
-        view = registry.GRAPH_FAMILIES_VIEW
-        view._warn()
-        return view
-    if name == "PROTOCOL_BUILDERS":
-        view = registry.PROTOCOL_BUILDERS_VIEW
-        view._warn()
-        return view
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _as_params(value: Mapping[str, Any] | Params | None) -> Params:

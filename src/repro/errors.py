@@ -104,11 +104,11 @@ class UnknownRegistryEntry(ProtocolError, KeyError):
     """A name was looked up in a registry that has no such entry.
 
     Subclasses :class:`ProtocolError` (so the pre-registry ``except``
-    clauses keep working) *and* :class:`KeyError` (so the deprecated
-    dict-shaped registry views honour the Mapping contract).  Carries the
-    registry ``kind``, the failing ``name``, the nearest known entry as a
-    ``suggestion`` (difflib; ``None`` when nothing is close), and the tuple
-    of ``known`` canonical names.
+    clauses keep working) *and* :class:`KeyError` (a failed lookup by
+    name is a missing key; the shard and campaign loaders catch it as
+    one).  Carries the registry ``kind``, the failing ``name``, the nearest
+    known entry as a ``suggestion`` (difflib; ``None`` when nothing is
+    close), and the tuple of ``known`` canonical names.
     """
 
     # KeyError.__str__ would repr-quote the message; keep the plain text.

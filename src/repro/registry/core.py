@@ -23,7 +23,6 @@ import difflib
 import importlib
 import inspect
 import threading
-import warnings
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, Generic, TypeVar
@@ -68,7 +67,6 @@ class RegistryEntry(Generic[T]):
     #: excluded.  Declaration order.
     params: tuple[tuple[str, str], ...] = ()
     aliases: tuple[str, ...] = ()
-    deprecated_aliases: tuple[str, ...] = ()
     module: str = ""
     #: The factory takes ``**kwargs`` — param-name validation is skipped.
     accepts_any_params: bool = False
@@ -78,7 +76,6 @@ class RegistryEntry(Generic[T]):
         return {
             "aliases": sorted(self.aliases),
             "capabilities": sorted(self.capabilities),
-            "deprecated_aliases": sorted(self.deprecated_aliases),
             "kind": self.kind,
             "module": self.module,
             "params": {name: spec for name, spec in sorted(self.params)},
@@ -119,7 +116,6 @@ class Registry(Generic[T]):
         self._aliases: dict[str, str] = {}
         self._loaded = False
         self._load_lock = threading.Lock()
-        self._warned_aliases: set[str] = set()
 
     # ------------------------------------------------------------------ #
     # registration
@@ -133,7 +129,6 @@ class Registry(Generic[T]):
         capabilities: Sequence[str] = (),
         params: Mapping[str, str] | None = None,
         aliases: Sequence[str] = (),
-        deprecated_aliases: Sequence[str] = (),
     ) -> Callable[[Callable[..., T]], Callable[..., T]]:
         """Decorator: register ``factory`` under ``name`` with metadata."""
 
@@ -157,8 +152,7 @@ class Registry(Generic[T]):
                     f"{self.label} name {name!r} is already an alias "
                     f"of {alias_target!r}"
                 )
-            new_aliases = (*aliases, *deprecated_aliases)
-            for alias in new_aliases:
+            for alias in aliases:
                 target = self._aliases.get(alias)
                 if target is not None and target != name:
                     raise RegistryError(
@@ -177,12 +171,11 @@ class Registry(Generic[T]):
                 params=self._derive_params(factory) if params is None
                 else tuple(params.items()),
                 aliases=tuple(aliases),
-                deprecated_aliases=tuple(deprecated_aliases),
                 module=factory.__module__,
                 accepts_any_params=self._accepts_any(factory),
             )
             self._entries[name] = entry
-            for alias in new_aliases:
+            for alias in aliases:
                 self._aliases[alias] = name
             return factory
 
@@ -234,17 +227,7 @@ class Registry(Generic[T]):
         if name in self._entries:
             return name
         if name in self._aliases:
-            canonical = self._aliases[name]
-            entry = self._entries[canonical]
-            if name in entry.deprecated_aliases and name not in self._warned_aliases:
-                self._warned_aliases.add(name)
-                warnings.warn(
-                    f"{self.label} name {name!r} is deprecated; "
-                    f"use {canonical!r} instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            return canonical
+            return self._aliases[name]
         raise self.unknown(name)
 
     def unknown(self, name: str) -> UnknownRegistryEntry:

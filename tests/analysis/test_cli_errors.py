@@ -46,9 +46,10 @@ class TestUsageErrors:
         assert main(["report", "--help"]) == 0
         assert "--by" in capsys.readouterr().out
 
-    def test_exp_alias_still_routes_to_experiment(self, capsys):
-        assert main(["EXP-NOPE"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+    def test_bare_experiment_id_is_usage_error(self, capsys):
+        # experiments run only through the `experiment` verb
+        assert main(["EXP-DEGEN"]) == 2
+        assert "invalid choice: 'EXP-DEGEN'" in capsys.readouterr().err
 
     def test_baseline_without_action(self, capsys):
         assert main(["baseline"]) == 2

@@ -43,7 +43,7 @@ class TestCli:
         assert set(json.loads(capsys.readouterr().out)) == {"protocol"}
 
     def test_single_experiment(self, capsys):
-        assert main(["EXP-DEGEN"]) == 0
+        assert main(["experiment", "EXP-DEGEN"]) == 0
         out = capsys.readouterr().out
         assert "degeneracy of the paper's graph classes" in out
 
@@ -58,7 +58,7 @@ class TestCli:
         assert tables[0]["headers"] and tables[0]["rows"]
 
     def test_unknown_experiment(self, capsys):
-        assert main(["EXP-NOPE"]) == 2
+        assert main(["experiment", "EXP-NOPE"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_no_arguments_is_usage_error(self, capsys):

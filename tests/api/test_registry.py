@@ -14,8 +14,7 @@ from repro.registry import Registry
 def _fresh() -> Registry:
     reg = Registry("widget", label="widget", context_params=1)
 
-    @reg.register("alpha", capabilities=("fast",), aliases=("a",),
-                  deprecated_aliases=("old_alpha",))
+    @reg.register("alpha", capabilities=("fast",), aliases=("a",))
     def _alpha(n, size: int = 3):
         """Builds an alpha."""
         return ("alpha", n, size)
@@ -90,13 +89,13 @@ class TestAliases:
             assert reg.resolve("a") == "alpha"
             assert reg.get("a") is reg.get("alpha")
 
-    def test_deprecated_alias_warns_once_and_resolves(self):
+    def test_deprecated_aliases_option_is_gone(self):
         reg = _fresh()
-        with pytest.warns(DeprecationWarning, match="'old_alpha' is deprecated"):
-            assert reg.resolve("old_alpha") == "alpha"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert reg.resolve("old_alpha") == "alpha"  # second use: silent
+        with pytest.raises(TypeError, match="deprecated_aliases"):
+            reg.register("gamma", deprecated_aliases=("old_gamma",))
+        with pytest.raises(TypeError, match="deprecated_aliases"):
+            registry.register("gamma", kind="protocol", deprecated_aliases=("g",))
+        assert "gamma" not in reg and "old_gamma" not in reg
 
 
 class TestUnknown:
@@ -178,8 +177,8 @@ class TestGlobalRegistries:
         for entries in catalog.values():
             assert list(entries) == sorted(entries)
             for meta in entries.values():
-                assert set(meta) == {"aliases", "capabilities", "deprecated_aliases",
-                                     "kind", "module", "params", "summary"}
+                assert set(meta) == {"aliases", "capabilities", "kind", "module",
+                                     "params", "summary"}
 
     def test_registrations_live_in_their_own_modules(self):
         """Protocols/families register where they are implemented."""
@@ -217,3 +216,38 @@ class TestGlobalRegistries:
         spec = next(Scenario(name="s", family="gnp", sizes=(8,),
                              protocol="full_adjacency").expand())
         assert spec.family == "erdos_renyi"
+
+
+class TestRemovedShims:
+    """The pre-registry dict names and their views are gone for good."""
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.engine", "GRAPH_FAMILIES"),
+        ("repro.engine", "PROTOCOL_BUILDERS"),
+        ("repro.engine", "BUILTIN_CAMPAIGNS"),
+        ("repro.engine.scenario", "GRAPH_FAMILIES"),
+        ("repro.engine.scenario", "PROTOCOL_BUILDERS"),
+        ("repro.engine.campaign", "BUILTIN_CAMPAIGNS"),
+        ("repro.analysis", "EXPERIMENTS"),
+        ("repro.analysis.experiments", "EXPERIMENTS"),
+    ])
+    def test_old_names_raise_import_error(self, module, name):
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
+
+    def test_every_module_star_imports_without_deprecation_warnings(self):
+        """`import repro` and `from <module> import *` for every repro
+        package and every module with ``__all__`` never warn (fresh
+        interpreter, so nothing was imported or warned before)."""
+        code = (
+            "import importlib, pkgutil, warnings\n"
+            "warnings.simplefilter('error', DeprecationWarning)\n"
+            "import repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    if info.name == 'repro.__main__':\n"
+            "        continue\n"
+            "    module = importlib.import_module(info.name)\n"
+            "    if info.ispkg or hasattr(module, '__all__'):\n"
+            "        exec(f'from {info.name} import *', {})\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)

@@ -1,6 +1,8 @@
 """Campaign runner: dedup, caching, JSONL determinism, spec loading."""
 
 import json
+import os
+import time
 
 import pytest
 
@@ -145,6 +147,33 @@ class TestDeterminism:
         warm = campaign.run()
         assert _strip_nondeterministic(cold.jsonl_path.read_text()) == \
                _strip_nondeterministic(warm.jsonl_path.read_text())
+
+
+def _timed_bench_campaign(executor):
+    campaign = builtin_campaign("bench", results_dir=None, use_cache=False)
+    t0 = time.perf_counter()
+    result = campaign.run(executor)
+    elapsed = time.perf_counter() - t0
+    assert len(result.records) == 32
+    assert all(r.status == "ok" and r.exact for r in result.records)
+    return elapsed
+
+
+class TestProcessSpeedup:
+    def test_process_pool_at_least_twice_serial_on_bench_campaign(self):
+        """The builtin `bench` load (32 reconstructions, n=512) parallelizes."""
+        cores = os.cpu_count() or 1
+        if cores < 4:
+            pytest.skip(f"only {cores} core(s) visible: no parallel hardware "
+                        "to show the >=2x process-pool speedup on")
+        serial_s = _timed_bench_campaign(SerialExecutor())
+        with ProcessPoolExecutor() as ex:
+            ex.map(abs, range(ex.jobs * 2))  # warm the pool off the clock
+            process_s = _timed_bench_campaign(ex)
+        assert serial_s / process_s >= 2.0, (
+            f"expected >=2x process-pool speedup on {cores} cores, "
+            f"got {serial_s / process_s:.2f}x"
+        )
 
 
 class TestLoading:

@@ -76,16 +76,21 @@ class TestRefereeParity:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda c: c.kind)
     def test_report_identical_to_plain_referee(self, backend):
-        g = random_forest(60, 4, seed=9)
-        protocol = ForestReconstructionProtocol()
-        base = Referee(shuffle_delivery=True, shuffle_seed=3).run(protocol, g)
+        cases = [
+            (ForestReconstructionProtocol(), random_forest(60, 4, seed=9)),
+            # the builtin `bench` campaign's run shape
+            (DegeneracyReconstructionProtocol(2), random_k_degenerate(512, 2, seed=0)),
+        ]
         ex = SerialExecutor() if backend is SerialExecutor else backend(2)
         with ex:
-            report = Referee(shuffle_delivery=True, shuffle_seed=3, executor=ex).run(protocol, g)
-        assert report.output == base.output == g
-        assert report.per_vertex_bits == base.per_vertex_bits
-        assert report.max_message_bits == base.max_message_bits
-        assert report.total_message_bits == base.total_message_bits
+            for protocol, g in cases:
+                base = Referee(shuffle_delivery=True, shuffle_seed=3).run(protocol, g)
+                report = Referee(shuffle_delivery=True, shuffle_seed=3,
+                                 executor=ex).run(protocol, g)
+                assert report.output == base.output == g
+                assert report.per_vertex_bits == base.per_vertex_bits
+                assert report.max_message_bits == base.max_message_bits
+                assert report.total_message_bits == base.total_message_bits
 
     def test_budget_violation_same_vertex(self):
         g = random_forest(30, 3, seed=2)

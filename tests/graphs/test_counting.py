@@ -89,6 +89,12 @@ class TestVectorizedCounts:
         # cross-check the vectorized path on the largest cheap instance
         assert count_square_free(6) == count_graphs_satisfying(6, lambda g: not has_square(g))
 
+    def test_square_free_largest_enumerable_n(self):
+        # all 2^21 graphs on 7 vertices; the value was cross-checked against
+        # an independent bitmask test of each graph for the 105 labelled C4s
+        assert MAX_ENUM_N == 7
+        assert count_square_free(7) == 163440
+
     def test_guards(self):
         with pytest.raises(GraphError):
             count_square_free(MAX_ENUM_N + 1)

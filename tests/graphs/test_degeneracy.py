@@ -2,7 +2,7 @@
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import LabeledGraph, core_numbers, degeneracy, degeneracy_ordering, is_k_degenerate
@@ -90,6 +90,7 @@ class TestCoreNumbers:
     k=st.integers(min_value=0, max_value=4),
     seed=st.integers(min_value=0, max_value=1000),
 )
+@example(n=4000, k=4, seed=2)
 def test_random_k_degenerate_respects_bound(n, k, seed):
     """Property: the constructive generator's output really has degeneracy <= k."""
     g = random_k_degenerate(n, k, seed=seed)

@@ -17,6 +17,7 @@ class TestAdaptiveQuery:
         lambda: erdos_renyi(15, 0.4, seed=3),
         lambda: LabeledGraph(6),  # edgeless: one round
         lambda: LabeledGraph(1),
+        lambda: erdos_renyi(32, 0.3, seed=5),
     ])
     def test_reconstructs_any_graph(self, gen):
         g = gen()

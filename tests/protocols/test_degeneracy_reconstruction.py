@@ -48,6 +48,9 @@ class TestReconstructionExactness:
         (lambda: petersen(), 3),
         (lambda: hypercube(4), 4),
         (lambda: fat_tree(4), 4),
+        (lambda: random_k_degenerate(256, 3, seed=11), 3),
+        (lambda: random_k_degenerate(512, 2, seed=14), 2),
+        (lambda: apollonian(200, seed=13), 3),
     ])
     def test_reconstructs_exactly(self, gen, k):
         g = gen()
@@ -71,11 +74,12 @@ class TestReconstructionExactness:
         assert DegeneracyReconstructionProtocol(1).reconstruct(g2) == g2
 
     def test_table_decoder_matches_newton(self):
-        g = erdos_renyi(10, 0.3, seed=7)
-        k = max(1, degeneracy(g))
-        newton = DegeneracyReconstructionProtocol(k, decoder="newton")
-        table = DegeneracyReconstructionProtocol(k, decoder="table")
-        assert newton.reconstruct(g) == table.reconstruct(g) == g
+        small = erdos_renyi(10, 0.3, seed=7)
+        for g, k in ((small, max(1, degeneracy(small))),
+                     (random_k_degenerate(64, 2, seed=12), 2)):
+            newton = DegeneracyReconstructionProtocol(k, decoder="newton")
+            table = DegeneracyReconstructionProtocol(k, decoder="table")
+            assert newton.reconstruct(g) == table.reconstruct(g) == g
 
     def test_table_cached_across_runs(self):
         p = DegeneracyReconstructionProtocol(2, decoder="table")

@@ -49,9 +49,10 @@ class TestGeneralizedReconstruction:
 
     def test_dense_complements(self):
         """The family plain degeneracy cannot touch: complements of forests."""
-        g = random_tree(12, seed=5).complement()
-        assert degeneracy(g) >= 8  # far above k...
-        assert GeneralizedDegeneracyProtocol(1).reconstruct(g) == g
+        for n, seed in ((12, 5), (48, 3)):
+            g = random_tree(n, seed=seed).complement()
+            assert degeneracy(g) >= 8  # far above k...
+            assert GeneralizedDegeneracyProtocol(1).reconstruct(g) == g
 
     def test_complete_graph(self):
         g = complete_graph(9)

@@ -84,6 +84,7 @@ class TestBudgetClaim:
         n = 256
         g = erdos_renyi(n, 0.05, seed=k)
         report = PartitionConnectivityProtocol(k).run(g)
+        assert report.n == n
         # forest <= n-1 edges * 2w bits over n/k members + header
         bound = (2 * (n - 1) * (log2_ceil(n) + 1)) / (n // k) + 4 * log2_ceil(n) + 8
         assert report.max_bits_per_node <= bound

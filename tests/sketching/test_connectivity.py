@@ -49,6 +49,7 @@ class TestOneRoundConnectivity:
         lambda: star_graph(20),
         lambda: random_tree(24, seed=3),
         lambda: erdos_renyi(20, 0.3, seed=1),
+        lambda: random_tree(64, seed=10),
     ])
     def test_connected_graphs_accepted(self, gen):
         g = gen()
