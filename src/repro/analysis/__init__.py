@@ -1,12 +1,12 @@
 """Experiment harness: one function per experiment ID in DESIGN.md.
 
 Each ``exp_*`` function returns ``(headers, rows)`` where rows are lists of
-display-ready values; :func:`~repro.analysis.tables.format_table` renders
+display-ready values; :func:`~repro.tables.format_table` renders
 them in the aligned plain-text form ``repro experiment <ID>`` prints.
 EXPERIMENTS.md quotes these tables as the paper-vs-measured record.
 """
 
-from repro.analysis.tables import format_table
+from repro.tables import format_table
 from repro.analysis.experiments import (
     exp_lemma1_counting,
     exp_lemma2_encoding,

@@ -47,7 +47,6 @@ from typing import Any
 
 from repro import registry
 from repro.errors import BaselineError, ProtocolError, ShardError
-from repro.analysis.tables import format_table
 from repro.engine.campaign import Campaign, CampaignResult
 from repro.engine.executor import EXECUTOR_KINDS, Executor, make_executor
 from repro.engine.faults import FaultSpec
@@ -59,6 +58,7 @@ from repro.results.baseline import (
     check as baseline_check,
     freeze as baseline_freeze,
 )
+from repro.tables import format_table
 
 __all__ = ["Session", "SessionRun", "SessionAggregate"]
 

@@ -53,7 +53,7 @@ import json
 import sys
 
 from repro import registry
-from repro.analysis import format_table
+from repro.tables import format_table
 
 __all__ = ["main"]
 
@@ -1024,7 +1024,7 @@ def _follow(client: Any, job_id: str, *, as_json: bool) -> int:
     import time
 
     from repro.errors import ServeError
-    from repro.serve.store import TERMINAL_STATES
+    from repro.serve.jobs import TERMINAL_STATES
 
     last = None
     while True:
@@ -1058,7 +1058,7 @@ def _job_epilogue(view: dict[str, Any], *, as_json: bool) -> int:
 def _cmd_job(args: argparse.Namespace) -> int:
     from repro.errors import JobNotFound, ServeError
     from repro.serve.client import ServeClient
-    from repro.serve.store import TERMINAL_STATES
+    from repro.serve.jobs import TERMINAL_STATES
 
     client = ServeClient(_serve_url(args))
     try:

@@ -38,6 +38,7 @@ from repro.graphs.labeled import LabeledGraph
 from repro.model.protocol import OneRoundProtocol
 from repro.model.referee import Referee, RunReport, monotonic_clock
 from repro.engine.faults import FaultCounters, FaultSpec
+from repro.schema import SPEC_VERSION
 
 __all__ = [
     "Scenario",
@@ -47,11 +48,6 @@ __all__ = [
     "output_digest",
     "SPEC_VERSION",
 ]
-
-#: Bumped whenever record semantics change, so stale cache entries miss.
-#: v2: records carry a top-level ``spec_version`` stamp (repro.results
-#: validates against it and migrates v1 streams on load).
-SPEC_VERSION = 2
 
 Params = tuple[tuple[str, Any], ...]
 

@@ -16,10 +16,12 @@ protocol layer serializes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import InvalidVertexError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["LabeledGraph"]
 
@@ -222,6 +224,8 @@ class LabeledGraph:
 
     def to_networkx(self) -> "nx.Graph":
         """Convert to a networkx Graph with nodes ``1..n``."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self.vertices())
         g.add_edges_from(self.edges())

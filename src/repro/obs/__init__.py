@@ -17,7 +17,7 @@ The observability substrate for the whole execution stack (DESIGN.md §8):
 * :mod:`repro.obs.events` — the event schema: strict validation and
   torn-tail-tolerant loading (lazy: pulls in the engine's shard I/O).
 * :mod:`repro.obs.report` — ``repro trace``'s phase breakdown, critical
-  path, and slowest-run analysis (lazy: pulls in the analysis tables).
+  path, and slowest-run analysis (lazy, like :mod:`repro.obs.events`).
 * :mod:`repro.obs.taxonomy` — every span name, registered under registry
   kind ``"span"`` so the taxonomy is introspectable and CI-pinned.
 

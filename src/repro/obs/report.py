@@ -26,6 +26,7 @@ from collections import defaultdict
 from typing import Any
 
 from repro.errors import ObsError
+from repro.tables import format_table
 
 __all__ = [
     "phase_breakdown",
@@ -141,8 +142,6 @@ def render_trace_report(
     events: list[dict], *, top: int = 10, source: str = "trace"
 ) -> str:
     """The human-readable ``repro trace`` report (aligned tables)."""
-    from repro.analysis.tables import format_table
-
     if not events:
         raise ObsError(f"{source}: no events to report on (empty stream)")
     data = trace_report_data(events, top=top)

@@ -536,7 +536,7 @@ def aggregate_table(
 ) -> tuple[str, list[str], list[list]]:
     """Render aggregated groups as ``(title, headers, rows)``.
 
-    The shape :func:`repro.analysis.tables.format_table` consumes — the
+    The shape :func:`repro.tables.format_table` consumes — the
     results layer and the experiment harness share one table pipeline.
     """
     headers = list(by) + [

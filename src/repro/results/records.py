@@ -6,7 +6,7 @@ validator (unknown keys and wrong types are rejected — ``True`` is not an
 ``int`` here), a version migrator for streams written by older engines, and
 streaming iteration so a million-record file is never loaded whole.
 
-The schema is pinned to :data:`repro.engine.scenario.SPEC_VERSION`.  A
+The schema is pinned to :data:`repro.schema.SPEC_VERSION`.  A
 record without a ``spec_version`` stamp is a v1 stream; :func:`migrate_record`
 upgrades it in memory.  A record from a *newer* engine fails loudly instead
 of being silently misread.
@@ -23,7 +23,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
 from repro.errors import SchemaError
-from repro.engine.scenario import SPEC_VERSION, RunSpec
+from repro.schema import SPEC_VERSION
 
 __all__ = [
     "RECORD_VERSION",
@@ -302,6 +302,9 @@ def spec_content_hash(spec: Mapping[str, Any]) -> str:
     :mod:`repro.results.baseline`: two campaigns match runs on the physical
     spec, not on file order or scenario labels.
     """
+    # Imported here: validating and aggregating records must not load the engine.
+    from repro.engine.scenario import RunSpec
+
     return RunSpec.from_dict(spec).content_hash()
 
 

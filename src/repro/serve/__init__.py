@@ -9,7 +9,7 @@ fleet observable.
 
 The moving parts, one module each:
 
-* :mod:`repro.serve.store`  — the durable job store (atomic ``job.json``
+* :mod:`repro.serve.jobs`   — the durable job store (atomic ``job.json``
   per job, per-job results dirs, restart recovery);
 * :mod:`repro.serve.queue`  — admission control, priority classes, and
   the shard-pulling worker pool (``asyncio.to_thread`` around the
@@ -35,7 +35,7 @@ or as a daemon: ``python -m repro serve``, then ``repro submit smoke``.
 from repro.serve.client import DEFAULT_URL, RemoteJob, ServeClient
 from repro.serve.http import DEFAULT_HOST, DEFAULT_PORT, ReproServer, ServerThread
 from repro.serve.queue import Scheduler
-from repro.serve.store import JOB_STATES, PRIORITIES, TERMINAL_STATES, JobStore
+from repro.serve.jobs import JOB_STATES, PRIORITIES, TERMINAL_STATES, JobStore
 
 __all__ = [
     "ServeClient",

@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from typing import Any
 
 from repro.errors import JobNotFound, QueueFull, ServeError
-from repro.serve.store import TERMINAL_STATES
+from repro.serve.jobs import TERMINAL_STATES
 
 __all__ = ["ServeClient", "RemoteJob", "DEFAULT_URL"]
 

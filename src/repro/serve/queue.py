@@ -46,7 +46,7 @@ from repro.engine.campaign import Campaign, builtin_campaign
 from repro.engine.executor import make_executor
 from repro.engine.shard import manifest_path, merge_shards
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.store import PRIORITIES, TERMINAL_STATES, JobStore
+from repro.serve.jobs import PRIORITIES, TERMINAL_STATES, JobStore
 
 __all__ = ["Scheduler"]
 

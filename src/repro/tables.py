@@ -1,4 +1,8 @@
-"""Plain-text table rendering for experiment outputs."""
+"""Plain-text table rendering for experiment, report, trace and bench output.
+
+A leaf module: it imports nothing from :mod:`repro`, so a CLI verb that only
+prints a table does not load the experiment harness, networkx or numpy.
+"""
 
 from __future__ import annotations
 

@@ -18,7 +18,7 @@ import pytest
 from repro.api import Session
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.queue import Scheduler
-from repro.serve.store import JobStore
+from repro.serve.jobs import JobStore
 
 
 def _session(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import QueueFull, ServeError, WorkerCrash
 from repro.serve.queue import Scheduler, validate_submission
-from repro.serve.store import JobStore
+from repro.serve.jobs import JobStore
 
 
 # --------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import JobNotFound, ServeError
-from repro.serve.store import JOB_STATES, PRIORITIES, TERMINAL_STATES, JobStore
+from repro.serve.jobs import JOB_STATES, PRIORITIES, TERMINAL_STATES, JobStore
 
 PAYLOAD = {"builtin": "smoke"}
 
